@@ -1,6 +1,6 @@
 # Convenience wrappers around dune; `make check` is the pre-commit gate.
 
-.PHONY: all build test bench chaos coldpath propagation durability agent colocation load fanout marshal obs check fmt clean
+.PHONY: all build test bench artifacts chaos coldpath propagation durability agent colocation load fanout marshal obs check fmt clean
 
 all: build
 
@@ -12,6 +12,19 @@ test:
 
 bench:
 	dune exec bench/main.exe
+
+# The artifact determinism gate: regenerate BENCH_hns.json and
+# BENCH_obs.json in a temporary directory and require both to match
+# the committed files byte for byte.
+artifacts:
+	dune build bench/main.exe
+	@tmp=$$(mktemp -d); \
+	(cd $$tmp && $(CURDIR)/_build/default/bench/main.exe --json >/dev/null) \
+	&& cmp $$tmp/BENCH_hns.json BENCH_hns.json \
+	&& cmp $$tmp/BENCH_obs.json BENCH_obs.json; \
+	status=$$?; rm -rf $$tmp; \
+	if [ $$status -eq 0 ]; then echo "artifacts: BENCH_hns.json and BENCH_obs.json reproduce byte for byte"; fi; \
+	exit $$status
 
 # The chaos availability demo: scheduled crashes with failover and
 # serve-stale degradation (also available as `hns_cli chaos`).
@@ -89,6 +102,7 @@ fmt:
 check: fmt
 	dune build
 	dune runtest
+	$(MAKE) artifacts
 	$(MAKE) chaos
 	$(MAKE) coldpath
 	$(MAKE) propagation

@@ -93,7 +93,11 @@ let observe t ?(ok = true) latency_ms =
   if breach then begin
     t.breaches <- t.breaches + 1;
     Timeseries.observe t.breach_window 1.0
-  end;
+  end
+  else
+    (* The read adopts the breach window into this run too, so a run
+       without breaches never burns the previous run's budget. *)
+    ignore (Timeseries.count t.breach_window);
   t.total <- t.total + 1;
   if breach || tail then retain_exemplar t (Span.current_trace ())
 

@@ -18,8 +18,7 @@ type state = {
   mutable on : bool;
   mutable next_id : int;
   stacks : (int, span list) Hashtbl.t; (* per-fiber, innermost first *)
-  mutable closed : span list; (* newest first *)
-  mutable closed_count : int;
+  closed : span Queue.t; (* oldest first, at most [max_retained] *)
   mutable dropped_count : int;
 }
 
@@ -28,8 +27,7 @@ let st =
     on = false;
     next_id = 1;
     stacks = Hashtbl.create 16;
-    closed = [];
-    closed_count = 0;
+    closed = Queue.create ();
     dropped_count = 0;
   }
 
@@ -96,15 +94,9 @@ let open_remote_span ~trace ~parent name =
   else push_span ~trace ~parent:(Some parent) ~remote:true name
 
 let retire s =
-  st.closed <- s :: st.closed;
-  st.closed_count <- st.closed_count + 1;
-  if st.closed_count > max_retained then begin
-    (* Drop the oldest retained span. Linear, but only on overflow of
-       an already-large buffer. *)
-    (match List.rev st.closed with
-    | [] -> ()
-    | _oldest :: rest -> st.closed <- List.rev rest);
-    st.closed_count <- st.closed_count - 1;
+  Queue.push s st.closed;
+  if Queue.length st.closed > max_retained then begin
+    ignore (Queue.pop st.closed);
     st.dropped_count <- st.dropped_count + 1
   end
 
@@ -161,7 +153,7 @@ let context () =
 
 let current_trace () = match context () with None -> 0 | Some (t, _) -> t
 
-let finished () = List.rev st.closed
+let finished () = List.of_seq (Queue.to_seq st.closed)
 let open_stack () = List.rev_map (fun s -> (s.id, s.name)) (stack_of (self_pid ()))
 let dropped () = st.dropped_count
 let duration_ms s = s.end_ms -. s.start_ms
@@ -171,8 +163,7 @@ let duration_ms s = s.end_ms -. s.start_ms
 let clear () =
   Hashtbl.reset st.stacks;
   st.next_id <- 1;
-  st.closed <- [];
-  st.closed_count <- 0;
+  Queue.clear st.closed;
   st.dropped_count <- 0
 
 let pp_attrs ppf attrs =

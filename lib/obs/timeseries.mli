@@ -6,7 +6,19 @@
     are pruned lazily on the next observation or read.
 
     Unlike {!Sim.Stats} (which accumulates forever), a window answers
-    "how are we doing {e now}" — the shape SLO burn rates need. *)
+    "how are we doing {e now}" — the shape SLO burn rates need.
+
+    A window belongs to the simulation run whose process last touched
+    it. The first access from a process of another {!Sim.Engine.t}
+    empties the window before it proceeds, so a run never sees an
+    earlier run's samples. Outside any process, reads prune against
+    the owning engine's clock ([0.] before any process touched the
+    window).
+
+    Observing costs O(log n) comparisons plus one bounded blit;
+    {!count} and {!percentile} are O(1) beyond pruning. Percentiles
+    are exact and bit-identical to sorting the window with
+    [List.sort compare]. *)
 
 type t
 

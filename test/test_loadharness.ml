@@ -293,6 +293,31 @@ let harness_deterministic () =
   let r3 = O.run (tiny ~seed:8 ()) in
   check_bool "different seed, different digest" false (r3.O.digest = r1.O.digest)
 
+let slo_window_per_run () =
+  (* The SLO window belongs to the run that fills it: the same arm run
+     twice in one process reads the same window, with no reset between
+     the runs. *)
+  let arm () =
+    let r = O.run (tiny ()) in
+    match Obs.Slo.find "load-tiny" with
+    | None -> Alcotest.fail "the arm registered no SLO"
+    | Some slo ->
+        let w = Obs.Slo.window_summary slo in
+        ( r,
+          Printf.sprintf "n=%d rate=%h mean=%h p50=%h p99=%h p999=%h max=%h"
+            w.Obs.Timeseries.n w.rate_per_s w.mean w.p50 w.p99 w.p999 w.max,
+          Obs.Slo.burn_rate slo )
+  in
+  let r1, w1, burn1 = arm () in
+  let r2, w2, burn2 = arm () in
+  check_bool "the window saw the run" true (not (String.starts_with ~prefix:"n=0 " w1));
+  check_string "same window summary" w1 w2;
+  check_string "same burn rate" (Printf.sprintf "%h" burn1) (Printf.sprintf "%h" burn2);
+  check_string "same schedule digest" r1.O.digest r2.O.digest;
+  check_string "same report"
+    (Format.asprintf "%a" O.pp_report r1)
+    (Format.asprintf "%a" O.pp_report r2)
+
 let harness_event_budget () =
   (* The CI guard: the tiny config must stay inside a fixed sim-event
      budget, so a runaway fiber (or an accidental retry storm) fails
@@ -317,4 +342,5 @@ let suite =
     Alcotest.test_case "hot ranking tie-break pinned" `Quick tie_break_pinned;
     Alcotest.test_case "harness determinism" `Quick harness_deterministic;
     Alcotest.test_case "harness event budget" `Quick harness_event_budget;
+    Alcotest.test_case "SLO window scoped to its run" `Quick slo_window_per_run;
   ]

@@ -7,8 +7,9 @@
    simulated processes (the client, the agent's request fiber, and the
    NSM server), verified by walking the [spans_json] export. Around it:
    a byte-identical determinism regression, the coalesced-follower
-   trace link, SLO breach exemplars, the zero-cost disabled path, and
-   the metric-name lint. *)
+   trace link, SLO breach exemplars, the time-series window against a
+   sorting reference, per-run SLO windows, the span ring's retention
+   bound, the zero-cost disabled path, and the metric-name lint. *)
 
 open Helpers
 module S = Workload.Scenario
@@ -274,6 +275,191 @@ let timeseries_window () =
       check_float_near "rate normalises to the window span" 2.0
         s.Obs.Timeseries.rate_per_s)
 
+(* --- the incremental window against a sort-the-window reference --- *)
+
+type ts_op = Observe of float | Sleep of float | Read | Switch_engine
+
+let pp_ts_op = function
+  | Observe v -> Printf.sprintf "observe %h" v
+  | Sleep d -> Printf.sprintf "sleep %g" d
+  | Read -> "read"
+  | Switch_engine -> "switch"
+
+(* Duplicates, signed zeros, NaN and infinities: every case where the
+   order of equal or unordered values could leak into a result. *)
+let gen_ts_op =
+  let open QCheck.Gen in
+  let value =
+    oneof
+      [
+        oneofl [ 0.0; -0.0; 1.0; 2.5; nan; infinity; neg_infinity ];
+        map float_of_int (int_range (-3) 3);
+        float_range (-50.0) 50.0;
+      ]
+  in
+  frequency
+    [
+      (6, map (fun v -> Observe v) value);
+      (3, map (fun d -> Sleep d) (oneofl [ 0.0; 1.0; 4.0; 10.0; 25.0 ]));
+      (2, return Read);
+      (1, return Switch_engine);
+    ]
+
+(* The reference recomputes the window from every sample of the owning
+   run: stamps inside the window ending [now], cut to the newest
+   [max_samples], then sorted with [List.sort compare]. *)
+let ref_window ~window_ms ~max_samples samples ~now =
+  List.filter (fun (at, _) -> at >= now -. window_ms) samples
+  |> List.filteri (fun i _ -> i < max_samples)
+  |> List.rev_map snd
+
+let ref_percentile vs p =
+  let sorted = Array.of_list (List.sort compare vs) in
+  let n = Array.length sorted in
+  let index = p /. 100.0 *. float_of_int (n - 1) in
+  let lo_i = int_of_float (floor index) and hi_i = int_of_float (ceil index) in
+  if lo_i = hi_i then sorted.(lo_i)
+  else
+    let frac = index -. float_of_int lo_i in
+    sorted.(lo_i) +. (frac *. (sorted.(hi_i) -. sorted.(lo_i)))
+
+let ref_summary ~window_ms vs : Obs.Timeseries.summary =
+  match vs with
+  | [] -> { n = 0; rate_per_s = 0.0; mean = 0.0; p50 = 0.0; p99 = 0.0; p999 = 0.0; max = 0.0 }
+  | vs ->
+      let n = List.length vs in
+      {
+        n;
+        rate_per_s = float_of_int n /. (window_ms /. 1000.0);
+        mean = List.fold_left ( +. ) 0.0 vs /. float_of_int n;
+        p50 = ref_percentile vs 50.0;
+        p99 = ref_percentile vs 99.0;
+        p999 = ref_percentile vs 99.9;
+        max = List.fold_left Float.max neg_infinity vs;
+      }
+
+let bits f = Printf.sprintf "%h" f
+let bits_list vs = String.concat " " (List.map bits vs)
+
+let summary_bits (s : Obs.Timeseries.summary) =
+  Printf.sprintf "n=%d rate=%s mean=%s p50=%s p99=%s p999=%s max=%s" s.n
+    (bits s.rate_per_s) (bits s.mean) (bits s.p50) (bits s.p99) (bits s.p999)
+    (bits s.max)
+
+let prop_window_matches_reference =
+  QCheck.Test.make ~count:500 ~name:"time series window equals the sorted reference"
+    QCheck.(
+      pair (int_range 1 6)
+        (make ~print:(QCheck.Print.list pp_ts_op) QCheck.Gen.(list_size (0 -- 80) gen_ts_op)))
+    (fun (max_samples, ops) ->
+      let window_ms = 20.0 in
+      let ts = Obs.Timeseries.create ~max_samples ~window_ms () in
+      (* The model's owning engine and that run's samples, newest first. *)
+      let owner = ref None and samples = ref [] in
+      let agree ~now =
+        let expected = ref_window ~window_ms ~max_samples !samples ~now in
+        let fail what want got =
+          QCheck.Test.fail_reportf "at t=%g, %s: expected %s, got %s" now what want got
+        in
+        let got_n = Obs.Timeseries.count ts in
+        if got_n <> List.length expected then
+          fail "count" (string_of_int (List.length expected)) (string_of_int got_n);
+        let got = Obs.Timeseries.values ts in
+        if bits_list got <> bits_list expected then
+          fail "values" (bits_list expected) (bits_list got);
+        List.iter
+          (fun p ->
+            let want = if expected = [] then "empty" else bits (ref_percentile expected p) in
+            let got =
+              match Obs.Timeseries.percentile ts p with
+              | v -> bits v
+              | exception Invalid_argument _ -> "empty"
+            in
+            if got <> want then fail (Printf.sprintf "p%g" p) want got)
+          [ 0.0; 25.0; 50.0; 99.0; 99.9; 100.0 ];
+        let want = summary_bits (ref_summary ~window_ms expected) in
+        let got = summary_bits (Obs.Timeseries.summary ts) in
+        if got <> want then fail "summary" want got
+      in
+      let rec segments acc cur = function
+        | [] -> List.rev (List.rev cur :: acc)
+        | Switch_engine :: rest -> segments (List.rev cur :: acc) [] rest
+        | op :: rest -> segments acc (op :: cur) rest
+      in
+      List.iter
+        (fun seg ->
+          let engine = Sim.Engine.create () in
+          Sim.Engine.spawn engine (fun () ->
+              List.iter
+                (fun op ->
+                  match op with
+                  | Sleep d -> Sim.Engine.sleep d
+                  | Observe _ | Read | Switch_engine -> (
+                      (* Any access from a new run's process starts the
+                         window afresh. *)
+                      (match !owner with
+                      | Some e when e == engine -> ()
+                      | _ ->
+                          owner := Some engine;
+                          samples := []);
+                      let now = Sim.Engine.time () in
+                      match op with
+                      | Observe v ->
+                          Obs.Timeseries.observe ts v;
+                          samples := (now, v) :: !samples
+                      | _ -> agree ~now))
+                seg);
+          Sim.Engine.run engine;
+          (* Outside any process the window reads on its owner's clock. *)
+          agree ~now:(match !owner with Some e -> Sim.Engine.now e | None -> 0.0))
+        (segments [] [] ops);
+      true)
+
+(* A run without breaches burns no budget, even right after one that
+   breached: the breach window moves to the new run with the latency
+   window. *)
+let slo_burn_rate_per_run () =
+  Obs.Slo.clear ();
+  Fun.protect ~finally:Obs.Slo.clear (fun () ->
+      let slo = Obs.Slo.get_or_create ~target_ms:10.0 ~objective:0.9 "unit" in
+      let run latencies =
+        let w = make_world ~hosts:1 () in
+        in_sim w (fun () ->
+            List.iter
+              (fun l ->
+                Obs.Slo.observe slo l;
+                Sim.Engine.sleep 1.0)
+              latencies)
+      in
+      run [ 5.0; 50.0; 5.0; 50.0 ];
+      check_float_near "half the first run breached" 5.0 (Obs.Slo.burn_rate slo);
+      run [ 5.0; 5.0 ];
+      check_float_near "the second run burns nothing" 0.0 (Obs.Slo.burn_rate slo);
+      check_int "the window holds the second run only" 2
+        (Obs.Slo.window_summary slo).Obs.Timeseries.n;
+      check_int "whole-run counters keep counting" 6 (Obs.Slo.total slo))
+
+(* --- the span ring keeps the newest spans --- *)
+
+let span_ring_keeps_newest () =
+  with_tracing (fun () ->
+      let retained = 8192 and extra = 100 in
+      for i = 1 to retained + extra do
+        Obs.Span.close_span (Obs.Span.open_span (string_of_int i))
+      done;
+      let spans = Obs.Span.finished () in
+      check_int "ring holds exactly the retention bound" retained (List.length spans);
+      check_int "older spans counted as dropped" extra (Obs.Span.dropped ());
+      check_bool "newest spans, oldest first" true
+        (List.mapi (fun i s -> s.Obs.Span.id = extra + 1 + i) spans
+        |> List.for_all Fun.id);
+      Obs.Span.clear ();
+      check_int "clear forgets the drop count" 0 (Obs.Span.dropped ());
+      check_int "clear empties the ring" 0 (List.length (Obs.Span.finished ()));
+      let again = Obs.Span.open_span "again" in
+      Obs.Span.close_span again;
+      check_int "clear rewinds ids" 1 again)
+
 let slo_accounting () =
   Obs.Slo.clear ();
   Fun.protect ~finally:Obs.Slo.clear (fun () ->
@@ -374,6 +560,11 @@ let suite =
       breach_retains_exemplar;
     Alcotest.test_case "time series prune on the virtual clock" `Quick
       timeseries_window;
+    qtest prop_window_matches_reference;
+    Alcotest.test_case "SLO burn rate scoped to its run" `Quick
+      slo_burn_rate_per_run;
+    Alcotest.test_case "span ring keeps the newest spans" `Quick
+      span_ring_keeps_newest;
     Alcotest.test_case "SLO accounting: budget, burn rate, publish" `Quick
       slo_accounting;
     Alcotest.test_case "disabled tracing does no work" `Quick
