@@ -1,6 +1,6 @@
 # Convenience wrappers around dune; `make check` is the pre-commit gate.
 
-.PHONY: all build test bench artifacts chaos coldpath propagation durability agent colocation load fanout marshal obs check fmt clean
+.PHONY: all build test bench artifacts cost chaos coldpath propagation durability agent colocation load fanout marshal obs check fmt clean
 
 all: build
 
@@ -25,6 +25,14 @@ artifacts:
 	status=$$?; rm -rf $$tmp; \
 	if [ $$status -eq 0 ]; then echo "artifacts: BENCH_hns.json and BENCH_obs.json reproduce byte for byte"; fi; \
 	exit $$status
+
+# The deterministic host-cost gate: run each perfbench workload once,
+# untraced at seed 1, and fail if sim.events, minor words per event,
+# major GCs or peak heap grew more than 2 % over BENCH_cost.json.
+# `python3 bench/cost_gate.py --update` rewrites the file.
+cost:
+	dune build perfbench/main.exe
+	python3 bench/cost_gate.py
 
 # The chaos availability demo: scheduled crashes with failover and
 # serve-stale degradation (also available as `hns_cli chaos`).
@@ -103,6 +111,7 @@ check: fmt
 	dune build
 	dune runtest
 	$(MAKE) artifacts
+	$(MAKE) cost
 	$(MAKE) chaos
 	$(MAKE) coldpath
 	$(MAKE) propagation

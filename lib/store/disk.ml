@@ -14,8 +14,10 @@ type crash_fate = Keep_none | Keep of int
 
 type fault_oracle = now:float -> file:string -> pending:int -> crash_fate
 
+(* Both regions grow in place, so an fsync costs O(pending bytes), not
+   a copy of the whole file. *)
 type file = {
-  mutable durable : string;
+  durable : Buffer.t;
   pending : Buffer.t; (* written, not yet fsynced *)
 }
 
@@ -69,7 +71,7 @@ let get_file t file =
   match Hashtbl.find_opt t.table file with
   | Some f -> f
   | None ->
-      let f = { durable = ""; pending = Buffer.create 256 } in
+      let f = { durable = Buffer.create 256; pending = Buffer.create 256 } in
       Hashtbl.replace t.table file f;
       f
 
@@ -86,7 +88,7 @@ let seek_charge t file =
 
 let append t ~file data =
   let f = get_file t file in
-  let off = String.length f.durable + Buffer.length f.pending in
+  let off = Buffer.length f.durable + Buffer.length f.pending in
   let cost =
     seek_charge t file +. (t.cost.per_byte_ms *. float_of_int (String.length data))
   in
@@ -100,7 +102,7 @@ let fsync t ~file =
   let f = get_file t file in
   Obs.Metrics.incr m_fsyncs;
   if Buffer.length f.pending > 0 then begin
-    f.durable <- f.durable ^ Buffer.contents f.pending;
+    Buffer.add_buffer f.durable f.pending;
     Buffer.clear f.pending
   end;
   (* The flush parks the head; the next append seeks back. *)
@@ -109,32 +111,34 @@ let fsync t ~file =
 
 let read t ~file ~off ~len =
   let f = get_file t file in
-  let avail = String.length f.durable in
+  let avail = Buffer.length f.durable in
   let off = min off avail in
   let len = max 0 (min len (avail - off)) in
-  let data = String.sub f.durable off len in
+  let data = Buffer.sub f.durable off len in
   Obs.Metrics.incr m_reads;
   Obs.Metrics.add m_bytes_read len;
   charge (seek_charge t file +. (t.cost.per_byte_ms *. float_of_int len));
   data
 
 let durable_contents t ~file =
-  match Hashtbl.find_opt t.table file with Some f -> f.durable | None -> ""
+  match Hashtbl.find_opt t.table file with
+  | Some f -> Buffer.contents f.durable
+  | None -> ""
 
-let durable_size t ~file = String.length (durable_contents t ~file)
+let durable_size t ~file =
+  match Hashtbl.find_opt t.table file with
+  | Some f -> Buffer.length f.durable
+  | None -> 0
 
 let size t ~file =
   match Hashtbl.find_opt t.table file with
-  | Some f -> String.length f.durable + Buffer.length f.pending
+  | Some f -> Buffer.length f.durable + Buffer.length f.pending
   | None -> 0
 
-let exists t ~file =
-  match Hashtbl.find_opt t.table file with
-  | Some f -> String.length f.durable > 0 || Buffer.length f.pending > 0
-  | None -> false
+let exists t ~file = size t ~file > 0
 
 let files t =
-  Hashtbl.fold (fun name f acc -> if String.length f.durable > 0 || Buffer.length f.pending > 0 then name :: acc else acc) t.table []
+  Hashtbl.fold (fun name f acc -> if Buffer.length f.durable > 0 || Buffer.length f.pending > 0 then name :: acc else acc) t.table []
   |> List.sort String.compare
 
 let delete t ~file = Hashtbl.remove t.table file
@@ -158,7 +162,7 @@ let crash t =
         (match fate with
         | Keep n when n > 0 ->
             let n = min n pending in
-            f.durable <- f.durable ^ String.sub (Buffer.contents f.pending) 0 n;
+            Buffer.add_string f.durable (Buffer.sub f.pending 0 n);
             t.torn_count <- t.torn_count + 1;
             Obs.Metrics.incr m_torn
         | Keep _ | Keep_none -> ());
@@ -171,4 +175,4 @@ let crashes t = t.crash_count
 let torn_writes t = t.torn_count
 
 let durable_bytes t =
-  Hashtbl.fold (fun _ f acc -> acc + String.length f.durable) t.table 0
+  Hashtbl.fold (fun _ f acc -> acc + Buffer.length f.durable) t.table 0

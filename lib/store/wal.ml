@@ -78,7 +78,9 @@ type t = {
   mutable batch_size : int;
   mutable dirty : string list; (* files awaiting the group fsync *)
   mutable compacting : unit Sim.Engine.Ivar.ivar option;
-  mutable compaction_gen : int;
+  mutable removed_through : int;
+      (* every segment numbered at or below this one has been, or is
+         being, removed by a compaction or a {!drop} *)
 }
 
 let segment_file base i = Printf.sprintf "%s.%06d.wal" base i
@@ -128,7 +130,7 @@ let create ?(base = "wal") ?(group_window_ms = 2.0) ?(segment_bytes = 64 * 1024)
     batch_size = 0;
     dirty = [];
     compacting = None;
-    compaction_gen = 0;
+    removed_through = -1;
   }
 
 let disk t = t.disk
@@ -178,22 +180,25 @@ let append t payload =
   let t0 = now_ms () in
   await_compaction t;
   let file = current_segment t in
+  let index = t.seg_index in
   let framed = frame payload in
-  let gen = t.compaction_gen in
+  (* Counted before the write's time charge yields, together with the
+     buffered bytes, so a pass that removes the segment meanwhile
+     accounts for this frame exactly once. *)
+  t.total_bytes <- t.total_bytes + String.length framed;
   ignore (Disk.append t.disk ~file framed);
   t.append_count <- t.append_count + 1;
   Obs.Metrics.incr m_appends;
-  if t.compaction_gen <> gen then
-    (* A compaction pass ran while this write's time charge slept. The
-       frame was buffered before the first yield, so the pass fsynced
-       it, replayed it into the rewritten image, and deleted the
-       segment it landed in: the record is already durable. Joining a
-       group commit now would resurrect the deleted file and count the
-       frame's bytes twice. *)
+  Obs.Metrics.set m_bytes (float_of_int t.total_bytes);
+  if index <= t.removed_through then
+    (* A compaction or a {!drop} removed this frame's segment while
+       the write's time charge slept. The frame was buffered before the
+       first yield, so it is already durable elsewhere: a compaction
+       fsynced it and replayed it into the rewritten image, and a drop
+       only removes records a durable snapshot covers. Joining a group
+       commit now would resurrect the deleted file. *)
     ()
   else begin
-    t.total_bytes <- t.total_bytes + String.length framed;
-    Obs.Metrics.set m_bytes (float_of_int t.total_bytes);
     t.batch_size <- t.batch_size + 1;
     mark_dirty t file;
     match t.pending_commit with
@@ -213,6 +218,11 @@ let append t payload =
         Sim.Engine.Ivar.fill iv ())
   end;
   Obs.Metrics.observe m_append_ms (now_ms () -. t0)
+
+let sorted_segments t =
+  List.sort
+    (fun a b -> compare (seg_number ~base:t.base a) (seg_number ~base:t.base b))
+    (segment_files t.disk ~base:t.base)
 
 type replay = { records : string list; torn_tail : bool; bytes_scanned : int }
 
@@ -258,20 +268,16 @@ let compact t ~coalesce =
      writing is already in some old segment's pending buffer, and no
      new frame can land once the guard is up. *)
   let before = t.total_bytes in
-  let old_files =
-    List.sort
-      (fun a b -> compare (seg_number ~base:t.base a) (seg_number ~base:t.base b))
-      (segment_files t.disk ~base:t.base)
-  in
+  let old_files = sorted_segments t in
   t.dirty <- [];
   (* The rewritten log starts on a fresh segment number so readers can
      never confuse old and new images — bumped before the first yield
      so even a frame that slipped past the guard could only land on a
      segment this pass never deletes. *)
+  t.removed_through <- t.seg_index;
   t.seg_index <- t.seg_index + 1;
   let guard = Sim.Engine.Ivar.create () in
   t.compacting <- Some guard;
-  t.compaction_gen <- t.compaction_gen + 1;
   Fun.protect
     ~finally:(fun () ->
       t.compacting <- None;
@@ -305,3 +311,19 @@ let compact t ~coalesce =
       in
       Obs.Metrics.set m_ratio ratio;
       ratio)
+
+let seal t =
+  let sealed = sorted_segments t in
+  t.seg_index <- t.seg_index + 1;
+  sealed
+
+let drop t files =
+  await_compaction t;
+  List.iter
+    (fun file ->
+      t.total_bytes <- t.total_bytes - Disk.size t.disk ~file;
+      t.removed_through <- max t.removed_through (seg_number ~base:t.base file);
+      Disk.delete t.disk ~file)
+    files;
+  t.dirty <- List.filter (fun f -> not (List.mem f files)) t.dirty;
+  Obs.Metrics.set m_bytes (float_of_int t.total_bytes)

@@ -14,10 +14,12 @@
     fsync ([store.wal.group_commits] vs [store.wal.appends]); an
     append returns only once its record is durable.
 
-    The log is segmented ([segment_bytes] per file); {!compact}
-    rewrites the whole log through a caller-supplied coalescing
-    function, which is also how a snapshot prunes the records it
-    covers. *)
+    The log is segmented ([segment_bytes] per file). A checkpoint
+    prunes it by whole segments: {!seal} closes the live segments at
+    the checkpoint's cut and {!drop} deletes them once the snapshot
+    covering them is durable, so appends never wait behind a
+    checkpoint. {!compact} rewrites the whole log through a
+    caller-supplied coalescing function. *)
 
 type t
 
@@ -47,8 +49,7 @@ val replay : ?base:string -> Disk.t -> replay
 (** [compact t ~coalesce] — rewrites the log as [coalesce records]
     (oldest first in, oldest first out), fsyncs, deletes the old
     segments, and returns the bytes-before / bytes-after ratio (1.0
-    when the log was empty). Also the pruning primitive: a filtering
-    [coalesce] drops records a snapshot made redundant.
+    when the log was empty).
 
     Safe against concurrent {!append}s: the pass first makes every
     pending byte durable so replay sees the complete log, and holds
@@ -57,6 +58,20 @@ val replay : ?base:string -> Disk.t -> replay
     [coalesce] may fold or drop it like any other committed record).
     Concurrent [compact] calls serialize. *)
 val compact : t -> coalesce:(string list -> string list) -> float
+
+(** [seal t] — start a fresh segment and return every segment written
+    so far, oldest first. Does no I/O and never yields: every record
+    appended before the call is in the returned segments, every record
+    appended after it is in later ones. *)
+val seal : t -> string list
+
+(** [drop t sealed] — delete segments returned by {!seal}. The caller
+    guarantees that a durable checkpoint covers every record in them.
+    An appender whose frame landed in a dropped segment while its
+    write's time charge slept returns without a group commit, since
+    that checkpoint already holds the record. Waits for a running
+    {!compact} first. *)
+val drop : t -> string list -> unit
 
 val bytes : t -> int
 val segments : t -> int
