@@ -45,6 +45,14 @@ let remove_rr t name rdata =
       if kept = [] then Tbl.remove t.tbl name else cell := kept
 
 let remove_name t name = Tbl.remove t.tbl name
+
+let restore_name t name rrs =
+  match (Tbl.find_opt t.tbl name, rrs) with
+  | Some cell, _ :: _ -> cell := rrs (* in place: the name keeps its slot *)
+  | None, _ :: _ -> Tbl.replace t.tbl name (ref rrs)
+  | Some _, [] -> Tbl.remove t.tbl name
+  | None, [] -> ()
+
 let all t = Tbl.fold (fun _ cell acc -> !cell @ acc) t.tbl []
 let names t = Tbl.fold (fun name _ acc -> name :: acc) t.tbl []
 let count t = Tbl.fold (fun _ cell acc -> acc + List.length !cell) t.tbl 0

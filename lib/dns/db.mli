@@ -21,6 +21,11 @@ val remove_rrset : t -> Name.t -> Rr.rtype -> unit
 val remove_rr : t -> Name.t -> Rr.rdata -> unit
 val remove_name : t -> Name.t -> unit
 
+(** [restore_name t name rrs] sets the records at [name] to exactly
+    [rrs], in that order ([[]] removes the name): undoes mutations
+    staged since [rrs] was read with [lookup t name T_any]. *)
+val restore_name : t -> Name.t -> Rr.t list -> unit
+
 (** Every record, grouped by name in no particular order. *)
 val all : t -> Rr.t list
 

@@ -121,11 +121,14 @@ and locked t iv f =
 
 let checkpoint t =
   (* The cut: the image, its serial and the sealed segments are taken
-     in one instant, before the first yield. The zone already holds
-     every delta its hooks have seen, so the image covers every record
+     in one instant, before the first yield. The hook that spawned this
+     fiber returned before the zone applied its delta, and nothing
+     yields in between ({!Zone.apply_delta}), so by now the zone holds
+     every delta its hooks have seen and the image covers every record
      in the sealed segments — unless a caller logged a delta ahead of
-     the zone's serial, in which case the segments stay for recovery
-     to replay. *)
+     the zone's serial, or the checkpoint ran synchronously inside the
+     hook (outside a process), in which case the segments stay for
+     recovery to replay. *)
   let serial = Zone.serial t.zone in
   let image = encode_snapshot t.zone in
   let sealed = Store.Wal.seal t.wal in
@@ -211,8 +214,8 @@ let attach ?(config = default_config) disk zone =
            if Int32.compare d.Journal.to_serial t.logged > 0 then
              t.logged <- d.Journal.to_serial;
            let payload = encode_delta ~origin:(Zone.origin zone) d in
-           (* Blocks through the WAL group commit: the update is durable
-              before the caller can acknowledge it. *)
+           (* Blocks through the WAL group commit: the delta is durable
+              before the zone applies it, and so before any ack. *)
            Store.Wal.append wal payload;
            t.persisted <- t.persisted + 1;
            Obs.Metrics.incr m_persisted;

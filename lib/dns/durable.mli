@@ -5,9 +5,10 @@
     recovery at delta granularity over the simulated {!Store.Disk}:
 
     - every serial transition (dynamic update or replica catch-up) is
-      spilled to a {!Store.Wal} {e before} the update is acknowledged
-      — the delta hook ({!Zone.on_delta}) returns only when the WAL's
-      group commit has made the record durable;
+      spilled to a {!Store.Wal} {e before} the zone applies it, and so
+      before the update is acknowledged — the delta hook
+      ({!Zone.add_delta_hook}) returns only when the WAL's group commit
+      has made the record durable;
     - the on-disk delta format {e is} the IXFR wire discipline: a DNS
       message whose authority carries the from-serial SOA and whose
       answers are [new-SOA · changes · new-SOA], marshalled by
@@ -51,10 +52,13 @@ type t
     serial bounds {!compact} and its size seeds the checkpoint
     trigger.
 
-    The zone must already hold a delta's changes and serial when its
-    hook fires, as [Server] updates and {!Zone.apply_delta} do. A
-    delta logged ahead of the zone's serial keeps the sealed segments
-    of the checkpoints cut before the zone catches up.
+    The hook runs before the zone applies the delta
+    ({!Zone.apply_delta}, the path of [Server] updates and replica
+    catch-up), and the checkpoint fiber it spawns takes its cut only
+    after that apply, since nothing yields in between. A delta logged
+    ahead of the zone's serial ({!Zone.record_delta}, or a synchronous
+    checkpoint outside a process) keeps the sealed segments of the
+    checkpoints cut before the zone catches up.
 
     Attach at most one store per zone at a time: each [attach]
     registers its own delta hook, so two live attachments would spill

@@ -1022,9 +1022,9 @@ let start_notify_listener ?port t =
     | None -> Transport.Netstack.alloc_udp_port t.stack
   in
   let stop =
-    Rpc.Rawrpc.serve t.stack ~port ~name:"hns-notify" (fun ~src:_ payload ->
+    Rpc.Rawrpc.serve t.stack ~port ~name:"hns-notify" (fun ~src:_ ~reply payload ->
         match Dns.Msg.decode payload with
-        | exception Dns.Msg.Bad_message _ -> None
+        | exception Dns.Msg.Bad_message _ -> ()
         | request ->
             if
               request.opcode = Dns.Msg.Notify
@@ -1075,9 +1075,8 @@ let start_notify_listener ?port t =
                   with Effect.Unhandled _ -> ())
               | Some _, Some _ -> () (* duplicate of what we hold *)
               | _ -> kick ());
-              Some (Dns.Msg.encode (Dns.Msg.notify_ack ~request))
-            end
-            else None)
+              reply (Dns.Msg.encode (Dns.Msg.notify_ack ~request))
+            end)
       ()
   in
   (Transport.Address.make (Transport.Netstack.ip t.stack) port, stop)

@@ -10,11 +10,13 @@ let serve stack ~port ?(service_overhead_ms = 0.0) ?name handler () =
       while !running do
         let src, payload = Udp.recv sock in
         if service_overhead_ms > 0.0 then Sim.Engine.sleep service_overhead_ms;
-        match handler ~src payload with
-        | Some response -> Udp.sendto sock ~dst:src response
-        | None -> ()
-        | exception (Failure _ | Invalid_argument _) ->
-            () (* a crashed handler stays silent; the client times out *)
+        (* The reply capability outlives this iteration: a handler may
+           hand it to another fiber and answer later. Once the server
+           stops, late answers are dropped like the socket's traffic. *)
+        let reply response = if !running then Udp.sendto sock ~dst:src response in
+        try handler ~src ~reply payload
+        with Failure _ | Invalid_argument _ ->
+          () (* a crashed handler stays silent; the client times out *)
       done);
   fun () ->
     running := false;

@@ -14,15 +14,19 @@
     the way a resolver does; retransmission handles simulated loss. *)
 
 (** [serve stack ~port ?service_overhead_ms handler] spawns a
-    sequential service loop: [handler ~src request] returns the
-    response payload, or [None] to stay silent (letting the client
-    time out). Returns a stop function. *)
+    sequential service loop: it charges [service_overhead_ms] per
+    request, then runs [handler ~src ~reply request]. The handler
+    answers by calling [reply response] — at once, or later from
+    another fiber, which frees the loop to take the next request —
+    or never, to stay silent (letting the client time out). A reply
+    made after the stop function ran is dropped. Returns a stop
+    function. *)
 val serve :
   Transport.Netstack.stack ->
   port:int ->
   ?service_overhead_ms:float ->
   ?name:string ->
-  (src:Transport.Address.t -> string -> string option) ->
+  (src:Transport.Address.t -> reply:(string -> unit) -> string -> unit) ->
   unit ->
   unit -> unit
 

@@ -272,6 +272,39 @@ let update_acl_enforced () =
       | Ok _ -> Alcotest.fail "untrusted update must be refused"
       | Error e -> Alcotest.failf "wrong error: %a" Dns.Update.pp_error e)
 
+(* An UPDATE over TCP meets the same ACL as one over UDP. *)
+let update_acl_over_tcp () =
+  let w = make_world ~hosts:3 () in
+  in_sim w (fun () ->
+      let origin = Dns.Name.of_string "z" in
+      let zone = Dns.Zone.simple ~origin [] in
+      let server =
+        Dns.Server.create w.stacks.(0) ~allow_update:true
+          ~update_acl:[ Transport.Netstack.ip w.stacks.(1) ]
+          ()
+      in
+      Dns.Server.add_zone server zone;
+      Dns.Server.start server;
+      let over_tcp stack name =
+        let request =
+          Dns.Msg.update_request ~id:7 ~zone:origin
+            [ Dns.Msg.Add (Dns.Rr.make (Dns.Name.of_string name) (Dns.Rr.A 2l)) ]
+        in
+        let conn = Transport.Tcp.connect stack (Dns.Server.addr server) in
+        Transport.Tcp.send conn (Dns.Msg.encode request);
+        let reply = Dns.Msg.decode (Transport.Tcp.recv conn) in
+        Transport.Tcp.close conn;
+        reply.Dns.Msg.rcode
+      in
+      let before = Dns.Zone.serial zone in
+      check_bool "an untrusted host is refused over TCP" true
+        (over_tcp w.stacks.(2) "evil.z" = Dns.Msg.Refused);
+      check_bool "the serial did not move" true (Int32.equal (Dns.Zone.serial zone) before);
+      check_bool "the trusted host commits over TCP" true
+        (over_tcp w.stacks.(1) "h.z" = Dns.Msg.No_error);
+      check_bool "one step" true
+        (Int32.equal (Dns.Zone.serial zone) (Int32.add before 1l)))
+
 (* --- TCP connection cache --- *)
 
 let conn_cache_reuses_connections () =
@@ -345,6 +378,7 @@ let udp_passthrough () =
 let extension_extra =
   [
     Alcotest.test_case "update ACL" `Quick update_acl_enforced;
+    Alcotest.test_case "update ACL over TCP" `Quick update_acl_over_tcp;
     Alcotest.test_case "conn cache reuse" `Quick conn_cache_reuses_connections;
     Alcotest.test_case "conn cache reconnect" `Quick
       conn_cache_reconnects_after_server_restart;

@@ -272,8 +272,8 @@ let crashing_raw_handler_stays_silent () =
     in_sim w (fun () ->
         let _stop =
           Rpc.Rawrpc.serve w.stacks.(0) ~port:7070
-            (fun ~src:_ payload ->
-              if payload = "boom" then failwith "handler crash" else Some "ok")
+            (fun ~src:_ ~reply payload ->
+              if payload = "boom" then failwith "handler crash" else reply "ok")
             ()
         in
         let dst = Transport.Address.make (Transport.Netstack.ip w.stacks.(0)) 7070 in

@@ -95,7 +95,7 @@ let open_vs_closed () =
         let stop =
           Rpc.Rawrpc.serve w.stacks.(0) ~port ~service_overhead_ms:20.0
             ~name:"slowpoke"
-            (fun ~src:_ payload -> Some payload)
+            (fun ~src:_ ~reply payload -> reply payload)
             ()
         in
         let submit _ =

@@ -13,6 +13,7 @@ let () =
       ("replication", Test_replication.suite);
       ("propagation", Test_propagation.suite);
       ("store", Test_store.suite);
+      ("update_lane", Test_lane.suite);
       ("failure", Test_failure.suite);
       ("properties", Test_properties.suite);
       ("extensions", Test_extensions.suite);

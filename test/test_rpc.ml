@@ -306,7 +306,7 @@ let rawrpc_native_payload () =
     in_sim w (fun () ->
         let stop =
           Rpc.Rawrpc.serve w.stacks.(0) ~port:6000 ~service_overhead_ms:2.0
-            (fun ~src:_ payload -> Some (String.uppercase_ascii payload))
+            (fun ~src:_ ~reply payload -> reply (String.uppercase_ascii payload))
             ()
         in
         let reply =
@@ -324,7 +324,7 @@ let rawrpc_silent_server_times_out () =
   let r =
     in_sim w (fun () ->
         let stop =
-          Rpc.Rawrpc.serve w.stacks.(0) ~port:6001 (fun ~src:_ _ -> None) ()
+          Rpc.Rawrpc.serve w.stacks.(0) ~port:6001 (fun ~src:_ ~reply:_ _ -> ()) ()
         in
         let reply =
           Rpc.Rawrpc.call w.stacks.(1)
