@@ -9,6 +9,8 @@ type t = {
   chain_depth : int;
   zone : Zone.t; (* our replica, registered with [server] *)
   mutable running : bool;
+  mutable pulling : bool;
+  mutable again : bool; (* another pull was asked for during this one *)
   mutable transfer_count : int; (* refreshes that moved the replica, full or delta *)
   mutable full_count : int;
   mutable ixfr_count : int;
@@ -80,7 +82,7 @@ let primary_serial t =
               match rr.rdata with Rr.Soa soa -> Some soa.Rr.serial | _ -> None)
             reply.answers)
 
-let pull t =
+let pull_once t =
   let before = Zone.serial t.zone in
   (match t.mode with
   | Axfr -> (
@@ -105,6 +107,21 @@ let pull t =
      root with simultaneous transfers. *)
   if Int32.unsigned_compare (Zone.serial t.zone) before > 0 then
     Server.notify_downstream t.server ~zone:t.zone
+
+(* One pull at a time: a second pull that starts while the first waits
+   in the zone's delta hooks (a durable replica's WAL fsync) would
+   fetch from the same serial and log a second delta from it. A
+   request that arrives meanwhile pulls again once the running pull
+   has landed. *)
+let rec pull t =
+  if t.pulling then t.again <- true
+  else begin
+    t.pulling <- true;
+    t.again <- false;
+    pull_once t;
+    t.pulling <- false;
+    if t.again && t.running then pull t
+  end
 
 let refresh_once t =
   match primary_serial t with
@@ -135,6 +152,8 @@ let attach server ~primary ~zone ?refresh_ms ?(mode = Ixfr) ?(chain_depth = 1)
         | Some z -> z
         | None -> Zone.simple ~origin:zone []);
       running = true;
+      pulling = false;
+      again = false;
       transfer_count = 0;
       full_count = 0;
       ixfr_count = 0;

@@ -17,7 +17,13 @@
     the default [Ixfr] mode, catches up by replaying journal deltas
     instead of re-transferring the zone — falling back to a full
     transfer transparently when the primary's journal has been
-    truncated past our serial. *)
+    truncated past our serial.
+
+    A secondary runs one pull at a time. A NOTIFY or poll that finds
+    the replica stale while a pull is running does not start a second
+    one; the running pull is followed by another once it has landed.
+    On a durable replica the zone only moves after the WAL fsync, and
+    two pulls from the same serial would log two deltas from it. *)
 
 type t
 

@@ -79,7 +79,8 @@ let zone_rejects_foreign_records () =
 let zone_serial_bumps () =
   let z = Dns.Zone.simple ~origin:(Dns.Name.of_string "z") [] in
   let s0 = Dns.Zone.serial z in
-  Dns.Zone.bump_serial z;
+  Dns.Zone.apply_delta z
+    { Dns.Journal.from_serial = s0; to_serial = Int32.add s0 1l; changes = [] };
   check_bool "serial increases" true (Dns.Zone.serial z = Int32.add s0 1l)
 
 (* --- message format --- *)
